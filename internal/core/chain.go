@@ -270,9 +270,11 @@ func JPSChain(g *dag.Graph, ch Chain, n int) (*ChainPlan, error) {
 	}
 
 	best := evaluate(0)
-	for _, m := range []int{n / 4, n / 2, 3 * n / 4, n} {
-		if cand := evaluate(m); cand.Makespan < best.Makespan {
-			best = cand
+	if bestIdx != secondIdx { // one candidate: every split is the same plan
+		for _, m := range mixSplits(n) {
+			if cand := evaluate(m); cand.Makespan < best.Makespan {
+				best = cand
+			}
 		}
 	}
 	return best, nil

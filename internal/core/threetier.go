@@ -181,12 +181,30 @@ func JPSThreeTier(g *dag.Graph, env ThreeTierEnv, n int) (*ThreeTierPlan, error)
 	// Mix in the runner-up pair at a few splits (crude but effective:
 	// the two-stage theory's balance logic does not transfer in closed
 	// form to three machines).
-	for _, m := range []int{n / 4, n / 2, 3 * n / 4, n} {
-		if cand := evaluate(m); cand.Makespan < best.Makespan {
-			best = cand
+	if bestIdx != secondIdx { // one candidate: every split is the same plan
+		for _, m := range mixSplits(n) {
+			if cand := evaluate(m); cand.Makespan < best.Makespan {
+				best = cand
+			}
 		}
 	}
 	return best, nil
+}
+
+// mixSplits lists the runner-up counts, after the all-best plan at 0,
+// that JPSThreeTier and JPSChain try: n/4, n/2, 3n/4 and n without
+// repeats. Small n repeats values, and a re-evaluated split yields the
+// same plan, which cannot pass the strict < that selects the best.
+func mixSplits(n int) []int {
+	var out []int
+	prev := 0
+	for _, m := range []int{n / 4, n / 2, 3 * n / 4, n} {
+		if m != prev {
+			out = append(out, m)
+		}
+		prev = m
+	}
+	return out
 }
 
 // TwoTierAsThreeTier plans the same workload with the plain two-tier

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"dnnjps/internal/flowshop"
@@ -117,5 +118,17 @@ func TestThreeTierLocalOnlyDegenerate(t *testing.T) {
 	wantLocal := 5 * curve.TotalMobileMs()
 	if p.Makespan > wantLocal*1.01 {
 		t.Errorf("three-tier %.0f should degrade to local-only %.0f", p.Makespan, wantLocal)
+	}
+}
+
+// The mix splits skip repeated runner-up counts (small n) but keep
+// every distinct one in order.
+func TestMixSplitsDistinct(t *testing.T) {
+	for n, want := range map[int][]int{
+		1: {1}, 2: {1, 2}, 3: {1, 2, 3}, 4: {1, 2, 3, 4}, 8: {2, 4, 6, 8}, 10: {2, 5, 7, 10},
+	} {
+		if got := mixSplits(n); !reflect.DeepEqual(got, want) {
+			t.Errorf("mixSplits(%d) = %v, want %v", n, got, want)
+		}
 	}
 }

@@ -88,9 +88,11 @@ func CDS(jobs []Job3) []Job3 {
 
 // NEH orders jobs with the Nawaz–Enscore–Ham insertion heuristic:
 // jobs sorted by decreasing total processing time are inserted one at
-// a time at the position minimizing the partial makespan. O(n³) in
-// this direct form — fine for batch sizes here — and consistently
-// tighter than CDS on hard instances.
+// a time at the position minimizing the partial makespan. It runs
+// NEHM's incremental trial evaluation (prefix reuse, equal-neighbour
+// skips, early pruning): O(n³) in the worst case, near O(n²) when
+// jobs share a few stage vectors, and consistently tighter than CDS on
+// hard instances.
 func NEH(jobs []Job3) []Job3 {
 	return mToJob3(NEHM(job3ToM(jobs)))
 }

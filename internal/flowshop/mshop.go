@@ -1,6 +1,10 @@
 package flowshop
 
-import "sort"
+import (
+	"math"
+	"slices"
+	"sort"
+)
 
 // m-machine permutation flow shop — the general form behind the k-way
 // device-chain extension. A job partitioned by k cuts over an ordered
@@ -19,8 +23,9 @@ import "sort"
 // changes no schedule bit-for-bit (pinned by TestScheduleMMatchesSchedule3).
 
 // JobM is an m-stage job: Stages[i] runs on machine i. Every job in a
-// sequence must have the same number of stages. ID is an opaque caller
-// tag preserved by scheduling.
+// sequence must have the same number of stages, and stages are
+// processing times, never negative (the sequencers' early pruning
+// relies on it). ID is an opaque caller tag preserved by scheduling.
 type JobM struct {
 	ID     int
 	Stages []float64
@@ -150,8 +155,13 @@ func CDSM(jobs []JobM) []JobM {
 // NEHM orders jobs with the Nawaz–Enscore–Ham insertion heuristic on m
 // machines: jobs sorted by decreasing total processing time are
 // inserted one at a time at the position minimizing the partial
-// makespan. O(n³·m) in this direct form. The input is not modified and
-// the result shares no memory with it.
+// makespan. Each trial insertion reuses the recurrence state of the
+// unchanged prefix and runs only the suffix; trials that equal an
+// earlier one (the new job next to a job with the same stages) are
+// skipped, and a trial stops once it can no longer beat the best span.
+// That is O(n³·m) in the worst case but near O(n²·m) on the few-type
+// instances the chain planner produces, with O(n) allocations. The
+// input is not modified and the result shares no memory with it.
 func NEHM(jobs []JobM) []JobM {
 	if len(jobs) == 0 {
 		return nil
@@ -164,19 +174,37 @@ func NEHM(jobs []JobM) []JobM {
 		}
 		return order[i].ID < order[j].ID
 	})
-	seq := make([]JobM, 0, len(order))
+	n, m := len(order), len(order[0].Stages)
+	if m == 0 {
+		// Every makespan is 0, so each job lands at position 0.
+		slices.Reverse(order)
+		return order
+	}
+	seq := make([]JobM, 0, n)
+	st := make([]float64, 0, n*m)
+	heads := make([]float64, (n+1)*m)
+	c := make([]float64, m)
 	for _, j := range order {
 		bestPos, bestSpan := 0, -1.0
 		for pos := 0; pos <= len(seq); pos++ {
-			trial := make([]JobM, 0, len(seq)+1)
-			trial = append(trial, seq[:pos]...)
-			trial = append(trial, j)
-			trial = append(trial, seq[pos:]...)
-			if span := MakespanM(trial); bestSpan < 0 || span < bestSpan {
+			if pos > 0 && slices.Equal(st[(pos-1)*m:pos*m], j.Stages) {
+				continue // same stage sequence as the trial at pos-1
+			}
+			limit := bestSpan
+			if pos == 0 {
+				limit = math.NaN() // nothing to beat yet: never prune
+			}
+			copy(c, heads[pos*m:(pos+1)*m])
+			if !advance(c, j.Stages, limit) || !advance(c, st[pos*m:], limit) {
+				continue
+			}
+			if span := c[m-1]; bestSpan < 0 || span < bestSpan {
 				bestPos, bestSpan = pos, span
 			}
 		}
-		seq = append(seq[:bestPos], append([]JobM{j}, seq[bestPos:]...)...)
+		seq = slices.Insert(seq, bestPos, j)
+		st = slices.Insert(st, bestPos*m, j.Stages...)
+		fillHeads(heads, st, bestPos, m)
 	}
 	return seq
 }
@@ -195,26 +223,88 @@ func ScheduleM(jobs []JobM) []JobM {
 }
 
 // swapDescentM applies first-improvement pairwise swaps until a local
-// optimum; O(n²·m) per pass and a handful of passes in practice. The
-// input slice is copied, never reordered in place.
+// optimum. A trial swap of positions i<j restarts the recurrence from
+// the state after the unchanged prefix cur[:i]; swaps of jobs with
+// equal stages are skipped, and a trial stops once it can no longer
+// improve the span by the 1e-12 margin. O(n³·m) per pass in the worst
+// case and a handful of passes in practice. The input slice is copied,
+// never reordered in place.
 func swapDescentM(seq []JobM) []JobM {
 	cur := append([]JobM(nil), seq...)
 	span := MakespanM(cur)
+	n := len(cur)
+	if n < 2 {
+		return cur
+	}
+	m := len(cur[0].Stages)
+	st := make([]float64, 0, n*m)
+	for _, j := range cur {
+		st = append(st, j.Stages...)
+	}
+	heads := make([]float64, (n+1)*m)
+	fillHeads(heads, st, 0, m)
+	c := make([]float64, m)
 	for improved := true; improved; {
 		improved = false
-		for i := 0; i < len(cur); i++ {
-			for j := i + 1; j < len(cur); j++ {
-				cur[i], cur[j] = cur[j], cur[i]
-				if s := MakespanM(cur); s < span-1e-12 {
-					span = s
-					improved = true
-				} else {
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				ri, rj := st[i*m:(i+1)*m], st[j*m:(j+1)*m]
+				if slices.Equal(ri, rj) {
+					continue // the swap leaves the stage sequence unchanged
+				}
+				limit := span - 1e-12
+				copy(c, heads[i*m:(i+1)*m])
+				if advance(c, rj, limit) && advance(c, st[(i+1)*m:j*m], limit) &&
+					advance(c, ri, limit) && advance(c, st[(j+1)*m:], limit) &&
+					c[m-1] < limit {
+					span = c[m-1]
 					cur[i], cur[j] = cur[j], cur[i]
+					for k := range ri {
+						ri[k], rj[k] = rj[k], ri[k]
+					}
+					fillHeads(heads, st, i, m)
+					improved = true
 				}
 			}
 		}
 	}
 	return cur
+}
+
+// advance runs the MakespanM recurrence from state c over the jobs
+// whose stages are laid out row-major in st, performing the same float
+// operations in the same order, so a trial resumed from a stored
+// prefix state ends bit-identical to a full MakespanM. It returns false
+// as soon as the last machine's completion reaches limit: with
+// non-negative stages that value only grows, so the finished span could
+// not be below limit. A NaN limit never stops the run.
+func advance(c, st []float64, limit float64) bool {
+	m := len(c)
+	for r := 0; r < len(st); r += m {
+		p := st[r : r+m]
+		c[0] += p[0]
+		for k := 1; k < m; k++ {
+			if c[k-1] > c[k] {
+				c[k] = c[k-1]
+			}
+			c[k] += p[k]
+		}
+		if c[m-1] >= limit {
+			return false
+		}
+	}
+	return true
+}
+
+// fillHeads recomputes the prefix states heads[(p+1)*m:(p+2)*m] for
+// p >= from: heads row p is the recurrence state after the first p
+// jobs of st, row 0 the all-zero start state.
+func fillHeads(heads, st []float64, from, m int) {
+	for p := from; p*m < len(st); p++ {
+		next := heads[(p+1)*m : (p+2)*m]
+		copy(next, heads[p*m:(p+1)*m])
+		advance(next, st[p*m:(p+1)*m], math.NaN())
+	}
 }
 
 // MaxExhaustiveJobs caps the factorial permutation searches

@@ -1,6 +1,7 @@
 package flowshop
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -98,6 +99,94 @@ func legacySchedule3(jobs []Job3) []Job3 {
 		}
 	}
 	return cur
+}
+
+// ---- pre-incremental m-machine references ----
+//
+// Verbatim copies of NEHM and swapDescentM as they stood before the
+// sequencers evaluated trials incrementally (full MakespanM per trial
+// position or swap). The production code must stay bit-identical to
+// them: same sequence, same floating-point makespan.
+
+func refNEHM(jobs []JobM) []JobM {
+	if len(jobs) == 0 {
+		return nil
+	}
+	order := cloneJobsM(jobs)
+	sort.SliceStable(order, func(i, j int) bool {
+		ti, tj := order[i].Total(), order[j].Total()
+		if ti != tj {
+			return ti > tj
+		}
+		return order[i].ID < order[j].ID
+	})
+	seq := make([]JobM, 0, len(order))
+	for _, j := range order {
+		bestPos, bestSpan := 0, -1.0
+		for pos := 0; pos <= len(seq); pos++ {
+			trial := make([]JobM, 0, len(seq)+1)
+			trial = append(trial, seq[:pos]...)
+			trial = append(trial, j)
+			trial = append(trial, seq[pos:]...)
+			if span := MakespanM(trial); bestSpan < 0 || span < bestSpan {
+				bestPos, bestSpan = pos, span
+			}
+		}
+		seq = append(seq[:bestPos], append([]JobM{j}, seq[bestPos:]...)...)
+	}
+	return seq
+}
+
+func refSwapDescentM(seq []JobM) []JobM {
+	cur := append([]JobM(nil), seq...)
+	span := MakespanM(cur)
+	for improved := true; improved; {
+		improved = false
+		for i := 0; i < len(cur); i++ {
+			for j := i + 1; j < len(cur); j++ {
+				cur[i], cur[j] = cur[j], cur[i]
+				if s := MakespanM(cur); s < span-1e-12 {
+					span = s
+					improved = true
+				} else {
+					cur[i], cur[j] = cur[j], cur[i]
+				}
+			}
+		}
+	}
+	return cur
+}
+
+func refScheduleM(jobs []JobM) []JobM {
+	cds := CDSM(jobs)
+	neh := refNEHM(jobs)
+	seq := cds
+	if MakespanM(neh) < MakespanM(cds) {
+		seq = neh
+	}
+	return refSwapDescentM(seq)
+}
+
+// checkParityM fails unless NEHM, swapDescentM and ScheduleM return
+// exactly the reference sequences with bit-identical makespans.
+func checkParityM(t *testing.T, label string, jobs []JobM) {
+	t.Helper()
+	cds := CDSM(jobs)
+	for _, c := range []struct {
+		name      string
+		got, want []JobM
+	}{
+		{"NEHM", NEHM(jobs), refNEHM(jobs)},
+		{"swapDescentM", swapDescentM(cds), refSwapDescentM(cds)},
+		{"ScheduleM", ScheduleM(jobs), refScheduleM(jobs)},
+	} {
+		if !reflect.DeepEqual(c.got, c.want) {
+			t.Fatalf("%s: %s diverged from the reference\n got %v\nwant %v", label, c.name, c.got, c.want)
+		}
+		if MakespanM(c.got) != MakespanM(c.want) {
+			t.Fatalf("%s: %s makespan not bit-identical", label, c.name)
+		}
+	}
 }
 
 func randJobs3(rng *rand.Rand, n int) []Job3 {
@@ -301,5 +390,128 @@ func TestMakespanMBoundsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// The incremental sequencers must match the full-recompute references
+// bit-for-bit on continuous stages, on copies of a few stage vectors
+// (the instances JPSChain builds from two mixed cut tuples), and on
+// small-integer stages full of ties.
+func TestScheduleMMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(131))
+	families := []struct {
+		name string
+		make func(n, m int) []JobM
+	}{
+		{"continuous", func(n, m int) []JobM { return randJobsM(rng, n, m) }},
+		{"few-types", func(n, m int) []JobM {
+			types := randJobsM(rng, 1+rng.Intn(3), m)
+			jobs := make([]JobM, n)
+			for i := range jobs {
+				st := types[rng.Intn(len(types))].Stages
+				jobs[i] = JobM{ID: i, Stages: append([]float64(nil), st...)}
+			}
+			return jobs
+		}},
+		{"small-int", func(n, m int) []JobM {
+			jobs := randJobsM(rng, n, m)
+			for _, j := range jobs {
+				for k := range j.Stages {
+					j.Stages[k] = float64(rng.Intn(4))
+				}
+			}
+			return jobs
+		}},
+	}
+	for _, fam := range families {
+		for trial := 0; trial < 60; trial++ {
+			n, m := 1+rng.Intn(64), 2+rng.Intn(4)
+			checkParityM(t, fmt.Sprintf("%s trial %d (n=%d m=%d)", fam.name, trial, n, m), fam.make(n, m))
+		}
+	}
+}
+
+// FuzzScheduleMVsReference decodes bytes into a small job matrix and
+// requires bit-parity with the reference sequencers. Byte 0 picks the
+// machine count m (0..5); each job then starts with a control byte:
+// with the high bit set the job repeats the stages of an earlier job,
+// otherwise the next m bytes are its stages in eighths, so zero stages
+// and ties are common.
+func FuzzScheduleMVsReference(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		m := int(data[0]) % 6
+		var jobs []JobM
+		for r := data[1:]; len(r) > 0 && len(jobs) < 40; {
+			ctl := r[0]
+			r = r[1:]
+			st := make([]float64, m)
+			if ctl&0x80 != 0 && len(jobs) > 0 {
+				copy(st, jobs[int(ctl&0x7f)%len(jobs)].Stages)
+			} else {
+				if len(r) < m {
+					break
+				}
+				for k := range st {
+					st[k] = float64(r[k]) / 8
+				}
+				r = r[m:]
+			}
+			jobs = append(jobs, JobM{ID: len(jobs), Stages: st})
+		}
+		checkParityM(t, fmt.Sprintf("m=%d n=%d", m, len(jobs)), jobs)
+	})
+}
+
+// twoTypeJobsM builds n jobs that share one of two stage vectors, a
+// quarter of them the second — the shape JPSChain's mixed splits give
+// the sequencer.
+func twoTypeJobsM(rng *rand.Rand, n, m int) []JobM {
+	types := randJobsM(rng, 2, m)
+	jobs := make([]JobM, n)
+	for i := range jobs {
+		st := types[0].Stages
+		if i < n/4 {
+			st = types[1].Stages
+		}
+		jobs[i] = JobM{ID: i, Stages: append([]float64(nil), st...)}
+	}
+	return jobs
+}
+
+// ScheduleM allocates O(n), not O(n²): clones of the input, a few
+// sequence and state buffers, and no per-trial slices. Measured 318
+// allocations per call at n=128, m=3 on this instance (the
+// full-recompute reference makes 25075), so the bound 3n+64 = 448
+// leaves room for small changes while failing any per-trial
+// allocation.
+func TestScheduleMAllocsLinear(t *testing.T) {
+	const n = 128
+	jobs := randJobsM(rand.New(rand.NewSource(151)), n, 3)
+	allocs := testing.AllocsPerRun(5, func() { ScheduleM(jobs) })
+	t.Logf("ScheduleM n=%d m=3: %.0f allocs/call", n, allocs)
+	if bound := 3*n + 64; allocs > float64(bound) {
+		t.Errorf("ScheduleM made %.0f allocs at n=%d, bound 3n+64 = %d", allocs, n, bound)
+	}
+}
+
+var sinkJobsM []JobM
+
+func BenchmarkScheduleM(b *testing.B) {
+	for _, n := range []int{32, 128} {
+		for _, kind := range []struct {
+			name string
+			make func(*rand.Rand, int, int) []JobM
+		}{{"random", randJobsM}, {"twotype", twoTypeJobsM}} {
+			jobs := kind.make(rand.New(rand.NewSource(int64(n))), n, 3)
+			b.Run(fmt.Sprintf("%s/n=%d", kind.name, n), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					sinkJobsM = ScheduleM(jobs)
+				}
+			})
+		}
 	}
 }

@@ -69,8 +69,9 @@ go test -run 'TestScheduleMGapVsBruteForce' -count=1 ./internal/flowshop/
 go test -run 'TestChainGapExperiment' -count=1 ./internal/experiments/
 
 echo "== fuzz smoke (10s per target)"
-# Each wire decoder and the fault injector get a short coverage-guided
-# run on top of the committed seed corpora in testdata/fuzz/. A crash
+# Each wire decoder, the fault injector, the asm kernel and the
+# flow-shop sequencer parity check get a short coverage-guided run on
+# top of the committed seed corpora in testdata/fuzz/. A crash
 # here reproduces with: go test -run 'Fuzz<T>/<file>' <pkg>
 fuzz_smoke() {
     target=$1
@@ -86,6 +87,7 @@ done
 fuzz_smoke FuzzInjector ./internal/netsim/
 fuzz_smoke FuzzEstimator ./internal/estimator/
 fuzz_smoke FuzzSgemmAsmVsScalar ./internal/engine/
+fuzz_smoke FuzzScheduleMVsReference ./internal/flowshop/
 
 echo "== multi-client e2e smoke (jpsserve, 4 tenants, SIGTERM drain)"
 SMOKE_LOG="$(mktemp)"
