@@ -116,14 +116,46 @@ func PlanGeneral(g *dag.Graph, mobile, cloud profile.Device, ch netsim.Channel, 
 		plans[pi] = pathPlan{curve: r, idx: idx, search: search}
 	}
 
+	// Fixed per-call facts: every node's mobile time and upload time,
+	// priced once, and the flat per-(job, node) dedup flags of the
+	// replay below.
+	nodeMs := make([]float64, g.Len())
+	txMs := make([]float64, g.Len())
+	for id := range nodeMs {
+		nodeMs[id] = mobile.LayerTimeMs(g, id)
+		txMs[id] = ch.TxMs(g.OutBytes(id, dt))
+	}
+	const (
+		executed = 1 << iota
+		uploaded
+	)
+	done := make([]uint8, n*g.Len())
+	jobs := make([]PathJob, 0, n*len(paths))
+	fsJobs := make([]flowshop.Job, n*len(paths))
+	actual := make([]flowshop.Job, 0, n*len(paths))
+
 	// evaluate builds and replays the joint schedule for a given
-	// "jobs cut at l*-1" count per path.
+	// "jobs cut at l*-1" count per path. It fills spare, a plan the
+	// descent below discarded, when there is one: at most two plans
+	// are ever allocated.
+	var spare *GeneralPlan
 	evaluate := func(splits []int) *GeneralPlan {
-		var jobs []PathJob
-		cutNodes := make([][]int, n)
-		for j := 0; j < n; j++ {
-			cutNodes[j] = make([]int, len(paths))
+		gp := spare
+		spare = nil
+		if gp == nil {
+			cutFlat := make([]int, n*len(paths))
+			gp = &GeneralPlan{
+				Method:   "JPS-general",
+				Paths:    paths,
+				Sequence: make([]PathJob, 0, n*len(paths)),
+				CutNodes: make([][]int, n),
+			}
+			for j := range gp.CutNodes {
+				gp.CutNodes[j] = cutFlat[j*len(paths) : (j+1)*len(paths) : (j+1)*len(paths)]
+			}
 		}
+		cutNodes := gp.CutNodes
+		jobs = jobs[:0]
 		for pi := range paths {
 			pp := plans[pi]
 			for j := 0; j < n; j++ {
@@ -145,7 +177,6 @@ func PlanGeneral(g *dag.Graph, mobile, cloud profile.Device, ch netsim.Channel, 
 
 		// Johnson's rule over the nominal (f, g) of every path job,
 		// duplicated nodes included — exactly the paper's Alg. 1 call.
-		fsJobs := make([]flowshop.Job, len(jobs))
 		for i, pj := range jobs {
 			fsJobs[i] = flowshop.Job{ID: i, A: pj.F, B: pj.G}
 		}
@@ -155,42 +186,34 @@ func PlanGeneral(g *dag.Graph, mobile, cloud profile.Device, ch netsim.Channel, 
 		// already executed (or a tensor already uploaded) by an
 		// earlier path of the same job is counted once — the paper's
 		// modified Alg. 1.
-		executed := make([]map[int]bool, n)
-		uploaded := make([]map[int]bool, n)
-		for j := 0; j < n; j++ {
-			executed[j] = make(map[int]bool)
-			uploaded[j] = make(map[int]bool)
-		}
-		seq := make([]PathJob, 0, len(order))
-		actual := make([]flowshop.Job, 0, len(order))
+		clear(done)
+		seq := gp.Sequence[:0]
+		actual = actual[:0]
 		for _, fj := range order {
 			pj := jobs[fj.ID]
 			path := paths[pj.Path]
+			flags := done[pj.Job*g.Len() : (pj.Job+1)*g.Len()]
 			var a float64
 			for _, id := range path[:pj.Cut+1] {
-				if !executed[pj.Job][id] {
-					executed[pj.Job][id] = true
-					a += mobile.LayerTimeMs(g, id)
+				if flags[id]&executed == 0 {
+					flags[id] |= executed
+					a += nodeMs[id]
 				}
 			}
 			var b float64
 			cutNode := path[pj.Cut]
-			if pj.Cut < len(path)-1 && !uploaded[pj.Job][cutNode] {
-				uploaded[pj.Job][cutNode] = true
-				b = ch.TxMs(g.OutBytes(cutNode, dt))
+			if pj.Cut < len(path)-1 && flags[cutNode]&uploaded == 0 {
+				flags[cutNode] |= uploaded
+				b = txMs[cutNode]
 			}
 			pj.ActualF, pj.ActualG = a, b
 			seq = append(seq, pj)
 			actual = append(actual, flowshop.Job{ID: fj.ID, A: a, B: b})
 		}
 
-		return &GeneralPlan{
-			Method:   "JPS-general",
-			Paths:    paths,
-			Sequence: seq,
-			Makespan: flowshop.Makespan(actual),
-			CutNodes: cutNodes,
-		}
+		gp.Sequence = seq
+		gp.Makespan = flowshop.Makespan(actual)
+		return gp
 	}
 
 	// Coordinate descent over the two balanced-split candidates of
@@ -211,8 +234,10 @@ func PlanGeneral(g *dag.Graph, mobile, cloud profile.Device, ch netsim.Channel, 
 		trial := append([]int(nil), splits...)
 		trial[pi] = alts[pi]
 		if cand := evaluate(trial); cand.Makespan < best.Makespan {
-			best = cand
+			spare, best = best, cand
 			splits = trial
+		} else {
+			spare = cand
 		}
 	}
 	return best, nil

@@ -25,12 +25,16 @@ type Node struct {
 // Build with New/Add, then call Finalize before using any query
 // method.
 type Graph struct {
-	name      string
-	nodes     []*Node
-	preds     [][]int
-	succs     [][]int
-	byName    map[string]int
-	topo      []int
+	name   string
+	nodes  []*Node
+	preds  [][]int
+	succs  [][]int
+	byName map[string]int
+	topo   []int
+	// flops and arts are fixed facts of a finalized graph, computed
+	// once by Finalize so planners can query them per call for free.
+	flops     []float64
+	arts      []int
 	finalized bool
 }
 
@@ -70,9 +74,10 @@ func (g *Graph) Add(layer nn.Layer, preds ...int) int {
 	return id
 }
 
-// Finalize validates the structure and infers every node's output
-// shape. It requires exactly one source (an nn.Input) and exactly one
-// sink, and that every node is reachable from the source.
+// Finalize validates the structure, infers every node's output shape
+// and records each node's FLOPs and the graph's articulation nodes. It
+// requires exactly one source (an nn.Input) and exactly one sink, and
+// that every node is reachable from the source.
 func (g *Graph) Finalize() error {
 	if g.finalized {
 		return nil
@@ -104,17 +109,22 @@ func (g *Graph) Finalize() error {
 	for i := range g.topo {
 		g.topo[i] = i
 	}
-	// Shape inference in topological order.
+	// Shape inference and FLOPs in topological order, over one scratch
+	// input-shape slice (layers do not retain their inputs slice).
+	flops := make([]float64, len(g.nodes))
+	var ins []tensor.Shape
 	for _, id := range g.topo {
-		ins := make([]tensor.Shape, len(g.preds[id]))
-		for i, p := range g.preds[id] {
-			ins[i] = g.nodes[p].OutShape
+		ins = ins[:0]
+		for _, p := range g.preds[id] {
+			ins = append(ins, g.nodes[p].OutShape)
 		}
-		out, err := g.nodes[id].Layer.OutputShape(ins)
+		layer := g.nodes[id].Layer
+		out, err := layer.OutputShape(ins)
 		if err != nil {
 			return fmt.Errorf("dag %s: %w", g.name, err)
 		}
 		g.nodes[id].OutShape = out
+		flops[id] = layer.FLOPs(ins)
 	}
 	// Reachability from the source (catches disconnected islands that
 	// still happen to have preds/succs, which is impossible here, but
@@ -137,6 +147,8 @@ func (g *Graph) Finalize() error {
 			return fmt.Errorf("dag %s: node %q unreachable from source", g.name, g.nodes[id].Layer.Name())
 		}
 	}
+	g.flops = flops
+	g.arts = g.findArticulations()
 	g.finalized = true
 	return nil
 }
@@ -208,9 +220,11 @@ func (g *Graph) InputShapes(id int) []tensor.Shape {
 	return ins
 }
 
-// NodeFLOPs returns the FLOPs of one node given its inferred inputs.
+// NodeFLOPs returns the FLOPs of one node given its inferred inputs,
+// as recorded by Finalize.
 func (g *Graph) NodeFLOPs(id int) float64 {
-	return g.nodes[id].Layer.FLOPs(g.InputShapes(id))
+	g.mustFinalized()
+	return g.flops[id]
 }
 
 // NodeParams returns the parameter count of one node.

@@ -68,50 +68,33 @@ func (g *Graph) CountPaths() int {
 // every source→sink path (including the source and sink themselves).
 // These are the only single-node cut-points of a general DAG; the
 // regions between consecutive articulations are the parallel segments
-// Decompose splits into branches.
-//
-// A node v (other than source/sink) lies on every path iff removing v
-// disconnects source from sink. Graphs here are model-sized (≤ a few
-// hundred nodes), so the O(V·(V+E)) removal check is plenty fast.
+// Decompose splits into branches. Finalize computes them once; the
+// returned slice is shared (do not mutate).
 func (g *Graph) Articulations() []int {
 	g.mustFinalized()
-	src, sink := g.Source(), g.Sink()
+	return g.arts[:len(g.arts):len(g.arts)]
+}
+
+// findArticulations is one O(V+E) sweep over the topological order,
+// which is ID order (Add only accepts earlier predecessors). The node
+// at position i lies on every source→sink path iff no edge (u,w) jumps
+// over it, i.e. has u < i < w: such an edge extends to a
+// source→u→w→sink path avoiding the node (every node is reachable from
+// the single source and reaches the single sink), and without one
+// every path, whose IDs only increase, must step on i. reach is the
+// furthest node any edge from an earlier node lands on.
+func (g *Graph) findArticulations() []int {
 	var arts []int
-	for _, v := range g.topo {
-		if v == src || v == sink {
-			arts = append(arts, v)
-			continue
+	reach := 0
+	for id, succs := range g.succs {
+		if reach <= id {
+			arts = append(arts, id)
 		}
-		if !g.reachableAvoiding(src, sink, v) {
-			arts = append(arts, v)
+		for _, s := range succs {
+			reach = max(reach, s)
 		}
 	}
 	return arts
-}
-
-// reachableAvoiding reports whether 'to' is reachable from 'from'
-// without visiting 'avoid'.
-func (g *Graph) reachableAvoiding(from, to, avoid int) bool {
-	if from == avoid || to == avoid {
-		return false
-	}
-	seen := make([]bool, len(g.nodes))
-	stack := []int{from}
-	seen[from] = true
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if v == to {
-			return true
-		}
-		for _, s := range g.succs[v] {
-			if s != avoid && !seen[s] {
-				seen[s] = true
-				stack = append(stack, s)
-			}
-		}
-	}
-	return false
 }
 
 // Segment is one element of a series decomposition: either a single

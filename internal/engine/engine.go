@@ -19,7 +19,6 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
-	"sync"
 
 	"dnnjps/internal/dag"
 	"dnnjps/internal/nn"
@@ -108,9 +107,9 @@ type Model struct {
 	workers int        // convolution parallelism; see Parallel
 	kernel  KernelPath // heavy-layer implementation; see WithKernel
 	arena   *tensor.Arena
-	quant   *quantState // int8 inference mode; nil = float32 (see quant.go)
-	states  sync.Pool   // recycled *execState bookkeeping (see executeN)
-	acts    sync.Pool   // recycled activation maps for Forward/ForwardBatch
+	quant   *quantState                      // int8 inference mode; nil = float32 (see quant.go)
+	states  freeList[*execState]             // recycled bookkeeping (see executeN)
+	acts    freeList[map[int]*tensor.Tensor] // recycled activation maps for Forward/ForwardBatch
 }
 
 // Load instantiates weights for every parametric layer of the graph.
@@ -219,7 +218,7 @@ func (m *Model) Forward(input *tensor.Tensor) (*tensor.Tensor, error) {
 // full-topo pass only the sink (which the caller keeps) is left and the
 // map's buckets can be reused as-is.
 func (m *Model) getActs() map[int]*tensor.Tensor {
-	if a, _ := m.acts.Get().(map[int]*tensor.Tensor); a != nil {
+	if a := m.acts.get(); a != nil {
 		return a
 	}
 	return make(map[int]*tensor.Tensor, 8)
@@ -227,7 +226,7 @@ func (m *Model) getActs() map[int]*tensor.Tensor {
 
 func (m *Model) putActs(acts map[int]*tensor.Tensor) {
 	clear(acts)
-	m.acts.Put(acts)
+	m.acts.put(acts)
 }
 
 // ForwardBatch runs the whole model on a batch of equally shaped
@@ -272,7 +271,7 @@ type execState struct {
 // no bookkeeping allocations.
 func (m *Model) newExecState(nodes []int) *execState {
 	n := m.g.Len()
-	st, _ := m.states.Get().(*execState)
+	st := m.states.get()
 	if st == nil {
 		st = &execState{
 			remaining:  make([]int, n),
@@ -409,7 +408,7 @@ func (m *Model) releaseState(st *execState) {
 		st.tens[i] = nil
 	}
 	st.ins = st.ins[:0]
-	m.states.Put(st)
+	m.states.put(st)
 }
 
 func (m *Model) executeN(acts map[int]*tensor.Tensor, n int, input *tensor.Tensor, nodes []int) error {

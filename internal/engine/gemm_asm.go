@@ -44,17 +44,11 @@ import "sync"
 // asmPackBufs recycles the packed blocks: one A and one B block per
 // in-flight worker.
 var (
-	asmPackBufsA = sync.Pool{
-		New: func() any {
-			b := make([]float32, asmMC*asmKC)
-			return &b
-		},
+	asmPackBufsA = freeList[[]float32]{
+		New: func() []float32 { return make([]float32, asmMC*asmKC) },
 	}
-	asmPackBufsB = sync.Pool{
-		New: func() any {
-			b := make([]float32, asmKC*asmNC)
-			return &b
-		},
+	asmPackBufsB = freeList[[]float32]{
+		New: func() []float32 { return make([]float32, asmKC*asmNC) },
 	}
 )
 
@@ -295,9 +289,7 @@ func sgemmAsmParallel(m, k, n, ldc int, a []float32, pk bPacker, c []float32, wo
 
 // sgemmAsmCols runs the blocked driver over columns [nLo, nHi).
 func sgemmAsmCols(m, k, n, nLo, nHi, ldc int, a []float32, pk bPacker, c []float32) {
-	bufA := asmPackBufsA.Get().(*[]float32)
-	bufB := asmPackBufsB.Get().(*[]float32)
-	pA, pB := *bufA, *bufB
+	pA, pB := asmPackBufsA.get(), asmPackBufsB.get()
 	var tmp [asmMR * asmNR]float32
 	for jp := nLo; jp < nHi; jp += asmNC {
 		nc := min(asmNC, nHi-jp)
@@ -331,6 +323,6 @@ func sgemmAsmCols(m, k, n, nLo, nHi, ldc int, a []float32, pk bPacker, c []float
 			}
 		}
 	}
-	asmPackBufsA.Put(bufA)
-	asmPackBufsB.Put(bufB)
+	asmPackBufsA.put(pA)
+	asmPackBufsB.put(pB)
 }

@@ -47,17 +47,11 @@ const (
 // packBufs recycles the pack panels: one A block and one B block per
 // in-flight worker.
 var (
-	packBufsA = sync.Pool{
-		New: func() any {
-			b := make([]float32, microMC*microKC)
-			return &b
-		},
+	packBufsA = freeList[[]float32]{
+		New: func() []float32 { return make([]float32, microMC*microKC) },
 	}
-	packBufsB = sync.Pool{
-		New: func() any {
-			b := make([]float32, microKC*microNC)
-			return &b
-		},
+	packBufsB = freeList[[]float32]{
+		New: func() []float32 { return make([]float32, microKC*microNC) },
 	}
 )
 
@@ -95,9 +89,7 @@ func sgemmMicro(m, k, n, ldc int, a, b, c []float32, workers int) {
 
 // sgemmMicroCols runs the blocked driver over columns [nLo, nHi).
 func sgemmMicroCols(m, k, n, nLo, nHi, ldc int, a, b, c []float32) {
-	bufA := packBufsA.Get().(*[]float32)
-	bufB := packBufsB.Get().(*[]float32)
-	pA, pB := *bufA, *bufB
+	pA, pB := packBufsA.get(), packBufsB.get()
 	for jp := nLo; jp < nHi; jp += microNC {
 		nc := min(microNC, nHi-jp)
 		for kp := 0; kp < k; kp += microKC {
@@ -130,8 +122,8 @@ func sgemmMicroCols(m, k, n, nLo, nHi, ldc int, a, b, c []float32) {
 			}
 		}
 	}
-	packBufsA.Put(bufA)
-	packBufsB.Put(bufB)
+	packBufsA.put(pA)
+	packBufsB.put(pB)
 }
 
 // packABlock packs an mc×kc block of A (row stride lda) into microMR-row

@@ -25,17 +25,11 @@ const (
 )
 
 var (
-	asmPackBufsQA = sync.Pool{
-		New: func() any {
-			b := make([]int16, qasmMC*qasmKC)
-			return &b
-		},
+	asmPackBufsQA = freeList[[]int16]{
+		New: func() []int16 { return make([]int16, qasmMC*qasmKC) },
 	}
-	asmPackBufsQB = sync.Pool{
-		New: func() any {
-			b := make([]int16, qasmKC*qasmNC)
-			return &b
-		},
+	asmPackBufsQB = freeList[[]int16]{
+		New: func() []int16 { return make([]int16, qasmKC*qasmNC) },
 	}
 )
 
@@ -67,9 +61,7 @@ func qgemmAsm(m, k, n int, a, b []int8, c []int32, workers int) {
 
 // qgemmAsmCols accumulates columns [nLo, nHi) of the int8 GEMM.
 func qgemmAsmCols(m, k, n, nLo, nHi int, a, b []int8, c []int32) {
-	bufA := asmPackBufsQA.Get().(*[]int16)
-	bufB := asmPackBufsQB.Get().(*[]int16)
-	pA, pB := *bufA, *bufB
+	pA, pB := asmPackBufsQA.get(), asmPackBufsQB.get()
 	var tmp [asmQMR * asmQNR]int32
 	for jp := nLo; jp < nHi; jp += qasmNC {
 		nc := min(qasmNC, nHi-jp)
@@ -103,8 +95,8 @@ func qgemmAsmCols(m, k, n, nLo, nHi int, a, b []int8, c []int32) {
 			}
 		}
 	}
-	asmPackBufsQA.Put(bufA)
-	asmPackBufsQB.Put(bufB)
+	asmPackBufsQA.put(pA)
+	asmPackBufsQB.put(pB)
 }
 
 // packQA packs an mc×kc block of A (row stride lda) into 4-row

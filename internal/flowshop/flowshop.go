@@ -8,7 +8,10 @@
 // validation.
 package flowshop
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // Job is one partitioned inference job: A is the computation-stage
 // length f(P_j), B the communication-stage length g(P_j). ID is an
@@ -29,7 +32,17 @@ func (j Job) CommHeavy() bool { return j.A < j.B }
 // Ties break by ID so schedules are deterministic. The input is not
 // modified.
 func Johnson(jobs []Job) []Job {
-	var s1, s2 []Job
+	// One output slice: S1 fills the front and S2 the back, each in
+	// input order, so the stable sorts below see what two separate
+	// sets would.
+	k := 0
+	for _, j := range jobs {
+		if j.CommHeavy() {
+			k++
+		}
+	}
+	out := make([]Job, len(jobs))
+	s1, s2 := out[:0], out[k:k]
 	for _, j := range jobs {
 		if j.CommHeavy() {
 			s1 = append(s1, j)
@@ -37,19 +50,30 @@ func Johnson(jobs []Job) []Job {
 			s2 = append(s2, j)
 		}
 	}
-	sort.SliceStable(s1, func(i, k int) bool {
-		if s1[i].A != s1[k].A {
-			return s1[i].A < s1[k].A
+	slices.SortStableFunc(s1, func(x, y Job) int {
+		if x.A != y.A {
+			return boolCmp(x.A < y.A)
 		}
-		return s1[i].ID < s1[k].ID
+		return cmp.Compare(x.ID, y.ID)
 	})
-	sort.SliceStable(s2, func(i, k int) bool {
-		if s2[i].B != s2[k].B {
-			return s2[i].B > s2[k].B
+	slices.SortStableFunc(s2, func(x, y Job) int {
+		if x.B != y.B {
+			return boolCmp(x.B > y.B)
 		}
-		return s2[i].ID < s2[k].ID
+		return cmp.Compare(x.ID, y.ID)
 	})
-	return append(s1, s2...)
+	return out
+}
+
+// boolCmp turns the outcome of a strict float comparison into a
+// comparison result. The stable sort consults only cmp < 0, so the
+// order matches the boolean less function exactly, NaN stages
+// included (cmp.Compare would order NaN first).
+func boolCmp(less bool) int {
+	if less {
+		return -1
+	}
+	return 1
 }
 
 // Makespan evaluates the exact two-machine flow-shop makespan of a

@@ -83,6 +83,57 @@ func TestJohnsonDoesNotMutateInput(t *testing.T) {
 	}
 }
 
+// refJohnson is Johnson before its single-buffer rewrite, kept
+// verbatim as the parity reference.
+func refJohnson(jobs []Job) []Job {
+	var s1, s2 []Job
+	for _, j := range jobs {
+		if j.CommHeavy() {
+			s1 = append(s1, j)
+		} else {
+			s2 = append(s2, j)
+		}
+	}
+	sort.SliceStable(s1, func(i, k int) bool {
+		if s1[i].A != s1[k].A {
+			return s1[i].A < s1[k].A
+		}
+		return s1[i].ID < s1[k].ID
+	})
+	sort.SliceStable(s2, func(i, k int) bool {
+		if s2[i].B != s2[k].B {
+			return s2[i].B > s2[k].B
+		}
+		return s2[i].ID < s2[k].ID
+	})
+	return append(s1, s2...)
+}
+
+// TestJohnsonMatchesReference pins the sequence, not just its
+// makespan: stage values from a small set force A/B ties, IDs repeat,
+// and some stages are NaN, where the comparator stops being a strict
+// weak order and only the exact algorithm reproduces the old output.
+func TestJohnsonMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	vals := []float64{0, 1, 2, 2.5, 7, math.NaN()}
+	for trial := 0; trial < 2000; trial++ {
+		jobs := make([]Job, rng.Intn(90))
+		for i := range jobs {
+			jobs[i] = Job{ID: rng.Intn(len(jobs)), A: vals[rng.Intn(len(vals))], B: vals[rng.Intn(len(vals))]}
+		}
+		got, want := Johnson(jobs), refJohnson(jobs)
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: %d jobs out, reference %d", trial, len(got), len(want))
+		}
+		for i := range want {
+			g, w := got[i], want[i]
+			if g.ID != w.ID || math.Float64bits(g.A) != math.Float64bits(w.A) || math.Float64bits(g.B) != math.Float64bits(w.B) {
+				t.Fatalf("trial %d: position %d is %+v, reference %+v", trial, i, g, w)
+			}
+		}
+	}
+}
+
 func TestMakespanRecurrence(t *testing.T) {
 	// Hand-checked: a=(2,3), b=(4,1).
 	// C1: 2,5. C2: max(0,2)+4=6; max(6,5)+1=7.

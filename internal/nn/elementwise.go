@@ -47,7 +47,7 @@ func (l *elementwise) outputShape(inputs []tensor.Shape) (tensor.Shape, error) {
 }
 
 func (l *elementwise) flops(inputs []tensor.Shape) float64 {
-	in, err := l.outputShape(inputs)
+	in, err := one(l.LayerName, inputs)
 	if err != nil {
 		return 0
 	}

@@ -57,25 +57,33 @@ func (l *Add) Name() string { return l.LayerName }
 func (l *Add) Kind() Kind   { return KindAdd }
 
 func (l *Add) OutputShape(inputs []tensor.Shape) (tensor.Shape, error) {
+	if err := l.check(inputs); err != nil {
+		return nil, err
+	}
+	return inputs[0].Clone(), nil
+}
+
+// check validates that there are at least two identically shaped
+// inputs.
+func (l *Add) check(inputs []tensor.Shape) error {
 	if len(inputs) < 2 {
-		return nil, fmt.Errorf("nn: add %q needs at least 2 inputs, got %d", l.LayerName, len(inputs))
+		return fmt.Errorf("nn: add %q needs at least 2 inputs, got %d", l.LayerName, len(inputs))
 	}
 	first := inputs[0]
 	for i, in := range inputs[1:] {
 		if !in.Equal(first) {
-			return nil, fmt.Errorf("nn: add %q input %d shape %v mismatches %v",
+			return fmt.Errorf("nn: add %q input %d shape %v mismatches %v",
 				l.LayerName, i+1, in, first)
 		}
 	}
-	return first.Clone(), nil
+	return nil
 }
 
 func (l *Add) FLOPs(inputs []tensor.Shape) float64 {
-	out, err := l.OutputShape(inputs)
-	if err != nil {
+	if l.check(inputs) != nil {
 		return 0
 	}
-	return float64(len(inputs)-1) * float64(out.Elems())
+	return float64(len(inputs)-1) * float64(inputs[0].Elems())
 }
 
 func (l *Add) ParamCount([]tensor.Shape) int64 { return 0 }

@@ -40,14 +40,12 @@ type Unit struct {
 // units delimited by its articulation nodes.
 func LineView(g *dag.Graph) []Unit {
 	arts := g.Articulations()
-	inArts := make(map[int]bool, len(arts))
-	for _, a := range arts {
-		inArts[a] = true
-	}
-	var units []Unit
+	units := make([]Unit, 0, len(arts))
 	var pending []int
 	for _, id := range g.Topo() {
-		if inArts[id] {
+		// arts is a topo-ordered subsequence of Topo: the next
+		// articulation is always arts[len(units)].
+		if len(units) < len(arts) && arts[len(units)] == id {
 			nodes := append(append([]int(nil), pending...), id)
 			units = append(units, Unit{
 				Nodes: nodes,

@@ -372,10 +372,16 @@ func TestAdaptEstimatorThreadsAcrossAttempts(t *testing.T) {
 	}
 	m := pipeModel(t)
 	ch := netsim.Channel{Name: "pipe", UplinkMbps: 8, SetupMs: 0}
+	// The kill must land inside the first two uploads: with Window 2,
+	// jobs 0 and 1 go out at the planned cut 3 (16 KiB each) before the
+	// runner can replan, but the adaptive replan may move every later
+	// job to the 128-byte cut 6 as early as job 2, after which the
+	// connection carries almost no bytes. 24 000 bytes fall in job 1's
+	// upload, after job 0 has left its throughput sample.
 	dial := faultyDialer(t, m, 41, adaptScale, func(i int) (up, down netsim.FaultSpec) {
 		up = netsim.FaultSpec{Degrade: netsim.StepDown(0, 2)}
 		if i == 0 {
-			up.DisconnectAfterBytes = 60_000
+			up.DisconnectAfterBytes = 24_000
 		}
 		return up, netsim.FaultSpec{}
 	})
